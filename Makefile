@@ -1,6 +1,6 @@
 # Tier-1 gate: the repo must build and its test suite must pass.
 .PHONY: check build test conform conform-serial f2-conform algebra-conform \
-	tune-smoke tune-scale serve-smoke bench bench-json clean
+	tune-smoke tune-scale serve-smoke bench bench-json perfbench clean
 
 check: build test conform f2-conform algebra-conform tune-smoke tune-scale \
 	serve-smoke bench-json
@@ -70,6 +70,12 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- tune -j 2 --json BENCH_tune.json
 	dune exec bench/main.exe -- serve -j 2 --json BENCH_serve.json
+
+# Layer-by-layer pipeline benchmark: every workload (compile, tune,
+# tune-scale, serve), end-to-end and traced runs.  Not part of `check`;
+# see perfbench/NOTES.md for the metrics and how to compare commits.
+perfbench:
+	bash perfbench/run.sh --all --seconds 10
 
 clean:
 	dune clean

@@ -308,44 +308,40 @@ let swizzle_classes sp =
    instead enumerates one canonical representative per provable
    F₂ cost-equivalence class of the {e full} mask/shift grid — complete
    coverage of the family with far fewer candidates. *)
-let swizzles sp g =
-  if (not (is_pow2 sp.cols)) || sp.cols = 1 || has_gen g then []
-  else begin
-    let pairs =
-      let class_reps =
-        if sp.classes then
-          List.filter_map
-            (fun c ->
-              (* The trivial class (no word-relevant key bit) is the
-                 parent itself, cost-wise; skip it. *)
-              if swizzle_class_key sp (c.sw_mask, c.sw_shift) = (0, 0) then None
-              else Some (c.sw_mask, c.sw_shift))
-            (swizzle_classes sp)
-        else []
-      in
-      if class_reps <> [] then class_reps
-      else
-        let masks =
-          let rec go m acc =
-            if m < 1 then List.rev acc else go (m / 2) (m :: acc)
-          in
-          go (sp.cols - 1) []
-        in
-        List.concat_map
-          (fun mask -> List.map (fun shift -> (mask, shift)) [ 0; 1; 2 ])
-          masks
+let swizzle_pairs sp =
+  if (not (is_pow2 sp.cols)) || sp.cols = 1 then []
+  else
+    let class_reps =
+      if sp.classes then
+        List.filter_map
+          (fun c ->
+            (* The trivial class (no word-relevant key bit) is the
+               parent itself, cost-wise; skip it. *)
+            if swizzle_class_key sp (c.sw_mask, c.sw_shift) = (0, 0) then None
+            else Some (c.sw_mask, c.sw_shift))
+          (swizzle_classes sp)
+      else []
     in
-    List.map
-      (fun (mask, shift) ->
-        L.Group_by.prepend
-          (L.Order_by.make
-             [
-               L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask
-                 ~shift;
-             ])
-          g)
-      pairs
-  end
+    if class_reps <> [] then class_reps
+    else
+      let masks =
+        let rec go m acc =
+          if m < 1 then List.rev acc else go (m / 2) (m :: acc)
+        in
+        go (sp.cols - 1) []
+      in
+      List.concat_map
+        (fun mask -> List.map (fun shift -> (mask, shift)) [ 0; 1; 2 ])
+        masks
+
+let prepend_swizzle sp g (mask, shift) =
+  L.Group_by.prepend
+    (L.Order_by.make
+       [ L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols ~mask ~shift ])
+    g
+
+let swizzles sp g =
+  if has_gen g then [] else List.map (prepend_swizzle sp g) (swizzle_pairs sp)
 
 (* Is [g] a bare sigma root (single chain entry, single RegP covering the
    whole space)?  Only those refine into tilings; every swizzle-free
@@ -367,11 +363,14 @@ let children sp g =
 
    Everything below generates candidates {e lazily}: the full scale
    product space (10^5-10^6 layouts on the matmul shape) is never
-   materialized — the consumer pulls candidates one at a time, and the
-   only per-space state is the 16-byte-digest dedup set.  The sequence
-   is a pure function of the space record: re-traversing a stream from
-   the start rebuilds a fresh dedup table inside the outer thunk, so
-   every traversal yields the identical sequence. *)
+   materialized — the consumer pulls candidates one at a time.  The
+   sampled dag is deduplicated on the fly (its only per-space state is a
+   digest set the size of the dag, ~10^3 entries); the scale axes are
+   disjoint from the dag and from each other by construction, so they
+   are appended without any fingerprinting.  The sequence is a pure
+   function of the space record: re-traversing a stream from the start
+   rebuilds a fresh dedup table inside the outer thunk, so every
+   traversal yields the identical sequence. *)
 
 (* Breadth-first levels of the refinement dag, as a lazy sequence,
    duplicates included.  Unlike the old eager closure this expands the
@@ -464,44 +463,40 @@ let vector_tilings sp =
 (* The scale product axes: every swizzle-free base (sigma roots,
    two-level, three-level and vectorization tilings) crossed with the
    {e full} masked-swizzle grid (every mask >= 1, every shift — not the
-   prefix-mask sample [swizzles] takes).  Generated lazily base by
-   base; overlaps with the sampled closure are removed by the dedup
-   wrapper downstream.  Mask 0 is excluded: it prepends a stage that is
-   the identity map under a new name, a structural near-duplicate with
-   no cost signal. *)
-let scale_stream sp =
-  if not sp.scale then Seq.empty
+   sample [swizzles] takes).  Mask 0 is excluded: it prepends a stage
+   that is the identity map under a new name, a structural near-duplicate
+   with no cost signal.
+
+   Each axis is a [(base, fresh, pairs)] triple: emit [base] itself when
+   [fresh], then [base] under every swizzle of [pairs].  The axes never
+   collide with one another — the bases are pairwise distinct and differ
+   in their first chain entry from every swizzled candidate — so the
+   only overlap with the rest of the stream is what the sampled dag
+   already holds: the sigma roots and two-level tilings (the dag's
+   swizzle-free bases) and their [swizzle_pairs] children.  Those bases
+   are not [fresh] and drop the dag's pairs from their grid; the
+   three-level and vectorization bases keep everything.  {!stream} and
+   {!count} both read this one list, so the structure of the axes lives
+   here alone. *)
+let scale_axes sp =
+  if not sp.scale then []
   else begin
-    let bases =
-      shuffle sp ~tag:"scale-bases"
-        (sigma_roots sp @ tilings sp @ deep_tilings sp @ vector_tilings sp)
-    in
-    let pairs =
+    let grid =
       shuffle sp ~tag:"scale-grid"
         (List.filter (fun (mask, _) -> mask > 0) (swizzle_family sp))
     in
-    Seq.concat_map
-      (fun base ->
-        Seq.cons base
-          (Seq.map
-             (fun (mask, shift) ->
-               L.Group_by.prepend
-                 (L.Order_by.make
-                    [
-                      L.Gallery.xor_swizzle_masked ~rows:sp.rows ~cols:sp.cols
-                        ~mask ~shift;
-                    ])
-                 base)
-             (List.to_seq pairs)))
-      (List.to_seq bases)
+    let sampled = swizzle_pairs sp in
+    let unsampled = List.filter (fun p -> not (List.mem p sampled)) grid in
+    shuffle sp ~tag:"scale-bases"
+      (List.map (fun g -> (g, false, unsampled)) (sigma_roots sp @ tilings sp)
+      @ List.map (fun g -> (g, true, grid)) (deep_tilings sp @ vector_tilings sp))
   end
 
-(* Digest-keyed deduplication.  The table lives inside the outermost
-   thunk: each traversal-from-the-start gets a fresh table (so streams
-   are re-traversable), while a partially consumed tail continues with
-   the table its traversal built.  Keys are {!Fingerprint.digest} — 16
-   bytes per distinct candidate, the only O(space)-sized state of a
-   streaming search. *)
+(* Digest-keyed deduplication of the dag.  The table lives inside the
+   outermost thunk: each traversal-from-the-start gets a fresh table (so
+   streams are re-traversable), while a partially consumed tail
+   continues with the table its traversal built.  Keys are
+   {!Fingerprint.digest} — 16 bytes per distinct dag candidate. *)
 let dedup seq =
   fun () ->
     let seen = Hashtbl.create 1024 in
@@ -518,8 +513,17 @@ let dedup seq =
     in
     go seq ()
 
-let stream sp =
-  dedup (Seq.append (bfs_levels sp (roots sp)) (scale_stream sp))
+let dag sp = dedup (bfs_levels sp (roots sp))
 
-let count sp = Seq.length (stream sp)
-let closure sp = List.of_seq (stream sp)
+let stream sp =
+  Seq.append (dag sp)
+    (Seq.concat_map
+       (fun (base, fresh, pairs) ->
+         let swizzled = Seq.map (prepend_swizzle sp base) (List.to_seq pairs) in
+         if fresh then Seq.cons base swizzled else swizzled)
+       (fun () -> List.to_seq (scale_axes sp) ()))
+
+let count sp =
+  List.fold_left
+    (fun n (_, fresh, pairs) -> n + Bool.to_int fresh + List.length pairs)
+    (Seq.length (dag sp)) (scale_axes sp)

@@ -35,7 +35,7 @@
     crossed with every shift) prepended to every swizzle-free base —
     which lifts the matmul shape from ~1.6 x 10³ to ~1.8 x 10⁵ distinct
     candidates.  The scale space is only ever generated {e lazily}
-    through {!stream} / {!count}; {!closure} would materialize it.
+    through {!stream}, and {!count} sizes it without generating it.
 
     Determinism contract: the generated sequence is a pure function of
     [(rows, cols, seed, classes, composed, elem_bytes, scale)].  Seed 0
@@ -102,28 +102,23 @@ val children : t -> Lego_layout.Group_by.t -> Lego_layout.Group_by.t list
 
 val stream : t -> Lego_layout.Group_by.t Seq.t
 (** Every candidate of the space, {e lazily}: the breadth-first closure
-    of {!roots} under {!children} first (in exactly the order the eager
-    closure enumerated), followed — with [~scale:true] — by the scale
-    product axes (three-level tilings, vectorization widths, every
-    swizzle-free base crossed with the full mask >= 1 swizzle grid).
-    De-duplicated by {!Fingerprint.digest}, so no two elements of the
-    sequence have equal fingerprints and a layout reachable through two
-    axes is generated once.  The only memory proportional to the space
-    is the 16-byte-per-candidate dedup set, built as the consumer
-    pulls; re-traversing the stream from the start rebuilds it, and
+    of {!roots} under {!children} first, followed — with [~scale:true] —
+    by the scale product axes (every swizzle-free base crossed with the
+    full mask >= 1 swizzle grid).  No two elements of the sequence have
+    equal fingerprints.  The dag part is de-duplicated by
+    {!Fingerprint.digest} as the consumer pulls, so its dedup set holds
+    at most the ~10³ dag candidates.  The scale part needs no dedup:
+    the axes are disjoint from each other by construction, and a base
+    the dag already holds (a sigma root or two-level tiling) skips
+    itself and the swizzle pairs {!children} already prepends to it.
+    Re-traversing the stream from the start rebuilds the dedup set, and
     every traversal yields the identical sequence (the determinism
     contract above). *)
 
 val count : t -> int
-(** Number of distinct candidates — one full traversal of {!stream},
-    nothing retained beyond the dedup set. *)
-
-val closure : t -> Lego_layout.Group_by.t list
-(** [List.of_seq (stream t)] — every reachable candidate, breadth-first
-    from {!roots}, de-duplicated by fingerprint: the space the
-    exhaustive strategy enumerates, and the denominator of the tuner's
-    coverage report.  Materializes the sequence; prefer {!stream} /
-    {!count} on [~scale:true] spaces. *)
+(** [Seq.length (stream t)], without generating the scale part: one
+    traversal of the dag plus arithmetic over the same base and swizzle
+    lists {!stream} crosses. *)
 
 val has_gen : Lego_layout.Group_by.t -> bool
 (** Whether any piece of the chain is a [GenP] (used to keep swizzles

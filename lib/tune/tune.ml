@@ -157,8 +157,8 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
   let t0 = Unix.gettimeofday () in
   (* Stage one: stream the space through the static predictor in
      chunks, retaining only the best [heap_cap] candidates (plus
-     counters).  Memory is O(heap_cap) + the stream's own dedup set,
-     whatever the space size. *)
+     counters).  Memory is O(heap_cap) + the stream's dedup set, which
+     covers only the sampled dag, whatever the space size. *)
   let chunk_len =
     max 64 (min 8192 (options.budget / (4 * max 1 options.jobs)))
   in
@@ -291,7 +291,8 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
     | [] -> invalid_arg "Tune.search: empty candidate space"
   in
   (* Outside the timed sections: sizing a drained stream is free
-     ([explored] covered it); otherwise one dedicated traversal. *)
+     ([explored] covered it); otherwise [Space.count], which walks only
+     the sampled dag and sizes the scale axes arithmetically. *)
   let space_size = if !drained then explored else Space.count sp in
   let conform =
     if options.conform then

@@ -83,9 +83,10 @@ type result = {
   explored : int;  (** Candidates statically scored. *)
   space_size : int;
       (** Size of the full candidate space.  Free when the stream
-          drained (it equals [explored]); computed by one extra
-          {!Space.count} traversal, outside the timed sections, when
-          the budget truncated the stream. *)
+          drained (it equals [explored]); otherwise {!Space.count},
+          outside the timed sections — one traversal of the sampled dag
+          plus arithmetic over the scale axes, never an enumeration of
+          the scale part. *)
   exhaustive : bool;  (** The stream drained within the budget. *)
   oracle_scored : int;
       (** Candidates the static pass scored purely in closed form (0

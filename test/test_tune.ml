@@ -68,23 +68,24 @@ let test_masked_swizzle_name_round_trip () =
 
 (* --- Candidate space ------------------------------------------------------ *)
 
+(* The fingerprints of [Space.stream sp], in stream order. *)
+let stream_fps sp =
+  List.of_seq (Seq.map T.Fingerprint.of_layout (T.Space.stream sp))
+
 let test_space_closure_dedup_and_seed_stability () =
-  let fps sp =
-    List.map T.Fingerprint.of_layout (T.Space.closure sp)
-  in
-  let c0 = fps (T.Space.make ~rows:16 ~cols:8 ()) in
+  let c0 = stream_fps (T.Space.make ~rows:16 ~cols:8 ()) in
   Alcotest.(check bool) "non-empty" true (c0 <> []);
   let sorted = List.sort_uniq compare c0 in
   Alcotest.(check int) "closure has no duplicates" (List.length c0)
     (List.length sorted);
   (* Same seed, same sequence; different seed, same *set*. *)
-  let c0' = fps (T.Space.make ~rows:16 ~cols:8 ()) in
+  let c0' = stream_fps (T.Space.make ~rows:16 ~cols:8 ()) in
   Alcotest.(check bool) "seed 0 reproducible" true (c0 = c0');
-  let c5 = fps (T.Space.make ~seed:5 ~rows:16 ~cols:8 ()) in
+  let c5 = stream_fps (T.Space.make ~seed:5 ~rows:16 ~cols:8 ()) in
   Alcotest.(check bool) "seeds enumerate the same set" true
     (List.sort compare c5 = List.sort compare c0);
   (* Non-power-of-two columns: no swizzle children anywhere. *)
-  let odd = fps (T.Space.make ~rows:9 ~cols:9 ()) in
+  let odd = stream_fps (T.Space.make ~rows:9 ~cols:9 ()) in
   Alcotest.(check bool) "no swizzles on 9x9" true
     (not
        (List.exists
@@ -127,7 +128,7 @@ let test_stream_matches_legacy_closure () =
   List.iter
     (fun (label, sp) ->
       let want = List.map T.Fingerprint.of_layout (legacy_closure sp) in
-      let got = List.map T.Fingerprint.of_layout (T.Space.closure sp) in
+      let got = stream_fps sp in
       Alcotest.(check bool) (label ^ ": same sequence") true (want = got);
       Alcotest.(check int) (label ^ ": count agrees") (List.length want)
         (T.Space.count sp))
@@ -141,9 +142,11 @@ let test_stream_matches_legacy_closure () =
 
 let prop_stream_no_duplicate_fingerprints =
   QCheck2.Test.make ~name:"stream yields no duplicate fingerprints" ~count:25
-    ~print:(fun (r, c, seed, scale, classes, composed) ->
-      Printf.sprintf "rows=%d cols=%d seed=%d scale=%b classes=%b composed=%b"
-        r c seed scale classes composed)
+    ~print:(fun (r, c, seed, scale, classes, composed, elem_bytes) ->
+      Printf.sprintf
+        "rows=%d cols=%d seed=%d scale=%b classes=%b composed=%b \
+         elem_bytes=%d"
+        r c seed scale classes composed elem_bytes)
     QCheck2.Gen.(
       oneofl [ 2; 3; 4; 6; 8; 9; 12; 16 ] >>= fun rows ->
       oneofl [ 2; 3; 4; 6; 8; 9; 16 ] >>= fun cols ->
@@ -151,14 +154,13 @@ let prop_stream_no_duplicate_fingerprints =
       bool >>= fun scale ->
       bool >>= fun classes ->
       bool >>= fun composed ->
-      pure (rows, cols, seed, scale, classes, composed))
-    (fun (rows, cols, seed, scale, classes, composed) ->
+      oneofl [ 1; 2; 4 ] >>= fun elem_bytes ->
+      pure (rows, cols, seed, scale, classes, composed, elem_bytes))
+    (fun (rows, cols, seed, scale, classes, composed, elem_bytes) ->
       let sp =
-        T.Space.make ~seed ~classes ~composed ~scale ~rows ~cols ()
+        T.Space.make ~seed ~classes ~composed ~elem_bytes ~scale ~rows ~cols ()
       in
-      let fps =
-        List.of_seq (Seq.map T.Fingerprint.of_layout (T.Space.stream sp))
-      in
+      let fps = stream_fps sp in
       List.length fps = List.length (List.sort_uniq compare fps)
       && T.Space.count sp = List.length fps
       && (scale
@@ -179,7 +181,44 @@ let test_scale_space_product_axes () =
       (Seq.map T.Fingerprint.of_layout (Seq.take nb (T.Space.stream scaled)))
   in
   Alcotest.(check bool) "base closure is the stream's prefix" true
-    (prefix = List.map T.Fingerprint.of_layout (T.Space.closure base))
+    (prefix = stream_fps base)
+
+(* Golden digests of the 128x32 matmul scale stream, recorded from an
+   enumeration that checked every scale candidate against a fingerprint
+   dedup table.  The scale axes skip the dag's overlap by construction,
+   so these pin the stream element for element (same candidates, same
+   order) on the full 7-shift grid, which the QCheck property above
+   never reaches.
+   The digest is an MD5 chain over the ordered fingerprints:
+   [h_0 = MD5 ""], [h_(k+1) = MD5 (h_k ^ fingerprint_k)]. *)
+let test_scale_stream_golden () =
+  List.iter
+    (fun (label, sp, want_count, want_md5) ->
+      let h, n =
+        Seq.fold_left
+          (fun (h, n) g ->
+            (Digest.string (h ^ T.Fingerprint.of_layout g), n + 1))
+          (Digest.string "", 0) (T.Space.stream sp)
+      in
+      Alcotest.(check string) (label ^ ": stream digest") want_md5
+        (Digest.to_hex h);
+      Alcotest.(check int) (label ^ ": stream length") want_count n;
+      Alcotest.(check int) (label ^ ": count") want_count (T.Space.count sp))
+    [
+      ( "seed 0",
+        T.Space.make ~scale:true ~rows:128 ~cols:32 (),
+        182685,
+        "094821f23f29eca713aed55e5b78c1d2" );
+      ( "seed 7",
+        T.Space.make ~seed:7 ~scale:true ~rows:128 ~cols:32 (),
+        182685,
+        "8d3acb8e22847ae978563a91cd2936fe" );
+      ( "classes composed elem_bytes 2",
+        T.Space.make ~classes:true ~composed:true ~elem_bytes:2 ~scale:true
+          ~rows:128 ~cols:32 (),
+        182779,
+        "41345abd7c7504fa9c973a6a46cb9843" );
+    ]
 
 (* --- Bounded top-K ---------------------------------------------------------- *)
 
@@ -882,4 +921,6 @@ let suite =
         test_search_rejects_bad_options;
       Alcotest.test_case "CLI overview lists subcommands" `Quick
         test_cli_overview_lists_subcommands;
+      Alcotest.test_case "scale stream golden digests" `Slow
+        test_scale_stream_golden;
     ] )
