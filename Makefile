@@ -62,8 +62,10 @@ bench:
 	dune exec bench/main.exe
 
 # Autotune + compile-service benchmarks with machine-readable output:
-# refreshes BENCH_tune.json (candidates/s on the fast path vs the
-# effect-handler path, plus winner timings) and BENCH_serve.json
+# refreshes BENCH_tune.json (candidates/s of each search vs its replay
+# on the reference paths -- Predict.reference_score over the same
+# prefix, the effect-handler simulator over the same finalists -- plus
+# winner timings) and BENCH_serve.json
 # (daemon req/s, cold/warm hit rates, batch p50/p99, warm-tune
 # speedup), enforcing each harness's assertions — the >= 10x floors
 # among them.

@@ -338,14 +338,58 @@ let conform () =
 
 module T = Lego_tune
 
-(* Runs the lib/tune search three times per slot (-j 1, -j N, and -j 1
-   with the fast path off) and asserts the determinism contract
-   (identical winner, identical score at any -j), the fast-path contract
-   (bit-identical ranking and counters against the effect-handler
-   reference, >= 4x aggregate candidates/s at -j 1), plus the paper's
-   qualitative claims: a conflict-free swizzle for the matmul staging
-   tile, >= 2x over the naive transpose, and the anti-diagonal family
-   beating row-major for NW. *)
+(* The candidate space [Tune.search] builds for [slot] (default options,
+   or oracle mode's class enumeration under [~classes]). *)
+let slot_space ?(classes = false) (slot : T.Slot.t) =
+  let elem_bytes =
+    List.fold_left
+      (fun acc -> function
+        | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
+        | T.Predict.Global _ -> acc)
+      1 slot.T.Slot.phases
+  in
+  T.Space.make ~classes ~elem_bytes ~rows:slot.T.Slot.rows
+    ~cols:slot.T.Slot.cols ()
+
+(* Replays a default-option search's decisions on the reference paths:
+   [Predict.reference_score] (interpreted addresses) over the same
+   explored prefix of the stream, then the effect-handler simulator
+   ([simulate ~fast:false]) over the top-[top] candidates that ranking
+   picks.  Timed like the search's static + sim sections, so the
+   candidates/s ratio is the fast path's speedup.  Returns each picked
+   candidate's fingerprint, reference score and reference sim. *)
+let reference_replay (slot : T.Slot.t) (r : T.Tune.result) =
+  let t0 = Unix.gettimeofday () in
+  let scored =
+    List.of_seq
+      (Seq.map
+         (fun g ->
+           ( (T.Predict.reference_score ~device:slot.T.Slot.device g
+                slot.T.Slot.phases,
+              T.Fingerprint.of_layout g ),
+             g ))
+         (Seq.take r.T.Tune.explored (T.Space.stream (slot_space slot))))
+  in
+  let picked =
+    List.filteri
+      (fun i _ -> i < T.Tune.default_options.T.Tune.top)
+      (List.sort (fun (a, _) (b, _) -> T.Predict.compare_ranked a b) scored)
+  in
+  let finalists =
+    List.map
+      (fun ((s, fp), g) -> (fp, (s, slot.T.Slot.simulate ~fast:false g)))
+      picked
+  in
+  (finalists, Unix.gettimeofday () -. t0)
+
+(* Runs the lib/tune search twice per slot (-j 1 and -j N) and asserts
+   the determinism contract (identical winner, identical score at any
+   -j); replays the -j 1 search on the reference paths and asserts the
+   fast-path contract (the same finalists with bit-identical static
+   scores and simulated counters, >= 4x aggregate candidates/s at -j 1);
+   plus the paper's qualitative claims: a conflict-free swizzle for the
+   matmul staging tile, >= 2x over the naive transpose, and the
+   anti-diagonal family beating row-major for NW. *)
 let tune () =
   header "Autotune: layout search against the simulator (lib/tune)";
   let failures = ref [] in
@@ -356,17 +400,12 @@ let tune () =
     (fun (slot : T.Slot.t) ->
       (* Tune.search builds its own pool; it must run from the main
          domain (never inside [pmap]) because pools don't nest. *)
-      let search ~fastpath jobs =
-        T.Tune.search
-          ~options:{ T.Tune.default_options with jobs; fastpath }
-          slot
+      let search jobs =
+        T.Tune.search ~options:{ T.Tune.default_options with jobs } slot
       in
-      let r = search ~fastpath:true 1 in
-      let r' = search ~fastpath:true jn in
-      (* The "before" reference: interpreted addresses in stage one, the
-         effect-handler simulator in stage two — the pre-fast-path
-         engine, same search, same decisions. *)
-      let rs = search ~fastpath:false 1 in
+      let r = search 1 in
+      let r' = search jn in
+      let reference, ref_wall = reference_replay slot r in
       let name = slot.T.Slot.name in
       let w = r.T.Tune.winner and w' = r'.T.Tune.winner in
       row "-- %s: %s --\n" name slot.T.Slot.descr;
@@ -393,17 +432,18 @@ let tune () =
       record ~experiment:"tune"
         ~metric:(Printf.sprintf "%s_cand_per_s_j%d" name jn)
         r'.T.Tune.candidates_per_s;
-      (* Fast path vs effect-handler reference: identical decisions and
-         bit-identical simulated counters, wall-clock apart. *)
+      (* Fast path vs the reference replay: identical decisions and
+         bit-identical scores and simulated counters, wall-clock apart. *)
+      let ref_cand_per_s = float_of_int r.T.Tune.explored /. ref_wall in
       row "effect-handler path: %.0f cand/s -j1 (fast path x%.1f)\n"
-        rs.T.Tune.candidates_per_s
-        (r.T.Tune.candidates_per_s /. rs.T.Tune.candidates_per_s);
+        ref_cand_per_s
+        (r.T.Tune.candidates_per_s /. ref_cand_per_s);
       record ~experiment:"tune"
         ~metric:(name ^ "_cand_per_s_j1_effectpath")
-        rs.T.Tune.candidates_per_s;
+        ref_cand_per_s;
       record ~experiment:"tune"
         ~metric:(name ^ "_fastpath_speedup_j1")
-        (r.T.Tune.candidates_per_s /. rs.T.Tune.candidates_per_s);
+        (r.T.Tune.candidates_per_s /. ref_cand_per_s);
       (* F2 oracle mode (lib/f2): closed-form conflict/coalescing
          scoring over GL(n,F2) cost-equivalence classes.  Engages only
          on power-of-two slots; elsewhere it degrades to the sampled
@@ -414,17 +454,7 @@ let tune () =
           slot
       in
       if ro.T.Tune.oracle_scored > 0 then begin
-        let elem_bytes =
-          List.fold_left
-            (fun acc -> function
-              | T.Predict.Shared { elem_bytes; _ } -> max acc elem_bytes
-              | T.Predict.Global _ -> acc)
-            1 slot.T.Slot.phases
-        in
-        let sp =
-          T.Space.make ~classes:true ~elem_bytes ~rows:slot.T.Slot.rows
-            ~cols:slot.T.Slot.cols ()
-        in
+        let sp = slot_space ~classes:true slot in
         let family = List.length (T.Space.swizzle_family sp) in
         let nclasses = List.length (T.Space.swizzle_classes sp) in
         row
@@ -466,20 +496,20 @@ let tune () =
         end
       end;
       fast_wall := !fast_wall +. r.T.Tune.static_seconds +. r.T.Tune.sim_seconds;
-      slow_wall :=
-        !slow_wall +. rs.T.Tune.static_seconds +. rs.T.Tune.sim_seconds;
-      let sim_key (sc : T.Tune.scored) =
-        let s = Option.get sc.T.Tune.sim in
-        ( sc.T.Tune.fingerprint,
-          s.T.Slot.time_s,
-          s.T.Slot.s_accesses,
-          s.T.Slot.s_cycles )
+      slow_wall := !slow_wall +. ref_wall;
+      let finalists =
+        List.sort compare
+          (List.map
+             (fun (sc : T.Tune.scored) ->
+               ( sc.T.Tune.fingerprint,
+                 (sc.T.Tune.static_score, Option.get sc.T.Tune.sim) ))
+             r.T.Tune.ranking)
       in
-      if
-        List.map sim_key r.T.Tune.ranking
-        <> List.map sim_key rs.T.Tune.ranking
-      then
-        fail "%s: fast-path ranking/counters differ from effect-handler path"
+      let reference = List.sort compare reference in
+      if List.map fst reference <> List.map fst finalists then
+        fail "%s: reference scores pick different finalists" name
+      else if reference <> finalists then
+        fail "%s: finalists' scores or sims differ on the reference paths"
           name;
       (* Determinism: bit-identical winner and score at any -j. *)
       if w.T.Tune.fingerprint <> w'.T.Tune.fingerprint then

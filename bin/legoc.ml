@@ -124,7 +124,9 @@ let run layout_text table apply_idx inv_p emit_c emit_triton emit_mlir check
       Printf.printf "Triton: %s\n"
         (Lego_codegen.Triton_printer.expr (Lazy.force offset));
     if emit_mlir then
-      print_string (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g);
+      print_string
+        (Lego_codegen.Mlir_gen.index_func ~name:"apply"
+           ~params:(Lego_symbolic.Sym.var_names g) [ Lazy.force offset ]);
     if check then begin
       match L.Check.layout ~jobs:(resolve_jobs jobs) g with
       | Ok () -> print_endline "bijection: verified"

@@ -42,7 +42,9 @@ let () =
       ~group:[ [ num_pid_m; num_pid_n ] ] ()
   in
   let lpid_m, lpid_n =
-    match Lego_symbolic.Sym.inv ~var:"pid" cl with
+    (* [Sym.inv] names the flat offset [p]; the kernel calls it [pid]. *)
+    let pid = E.subst [ ("p", E.var "pid") ] in
+    match List.map pid (Lego_symbolic.Sym.inv cl) with
     | [ a; b ] -> (T.expr a, T.expr b)
     | _ -> assert false
   in

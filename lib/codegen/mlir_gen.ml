@@ -1,5 +1,3 @@
-module L = Lego_layout
-
 let atom_name const_names = function
   | Cse.Avar v -> "%" ^ v
   | Cse.Aconst n -> Hashtbl.find const_names n
@@ -92,9 +90,9 @@ let index_func ~name ~params exprs =
   Buffer.contents b
 
 let layout_apply_func ~name layout =
-  let d = L.Group_by.rank layout in
-  let params = List.init d (Printf.sprintf "i%d") in
-  index_func ~name ~params [ Lego_symbolic.Sym.apply layout ]
+  index_func ~name
+    ~params:(Lego_symbolic.Sym.var_names layout)
+    [ Lego_symbolic.Sym.apply layout ]
 
 let layout_inv_func ~name layout =
   index_func ~name ~params:[ "p" ] (Lego_symbolic.Sym.inv layout)

@@ -182,6 +182,7 @@ let compile_key ~fp ~device = Store.key [ "compile"; fp; device ]
 let compile_value ~device g =
   let fp = T.Fingerprint.of_layout g in
   let offset = Lego_symbolic.Sym.apply g in
+  let params = Lego_symbolic.Sym.var_names g in
   ( fp,
     Json.Obj
       [
@@ -193,7 +194,10 @@ let compile_value ~device g =
         ("simplified", Json.Str (Lego_symbolic.Expr.to_string offset));
         ("c", Json.Str (Lego_codegen.C_printer.expr offset));
         ("triton", Json.Str (Lego_codegen.Triton_printer.expr offset));
-        ("mlir", Json.Str (Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g));
+        ( "mlir",
+          Json.Str
+            (Lego_codegen.Mlir_gen.index_func ~name:"apply" ~params [ offset ])
+        );
       ] )
 
 type compile_draft =

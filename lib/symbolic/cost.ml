@@ -42,13 +42,13 @@ let ops ?(weights = default_weights) e =
   in
   go e
 
-let cheapest ?weights = function
+let cheapest = function
   | [] -> invalid_arg "Cost.cheapest: empty candidate list"
   | e :: rest ->
-    let better best cand = if ops ?weights cand < ops ?weights best then cand else best in
+    let better best cand = if ops cand < ops best then cand else best in
     List.fold_left better e rest
 
-let best_of_expansion ?weights ~env e =
+let best_of_expansion ~env e =
   let plain = Simplify.simplify ~env e in
   let expanded = Simplify.simplify ~env (Expand.expand e) in
-  cheapest ?weights [ plain; expanded ]
+  cheapest [ plain; expanded ]

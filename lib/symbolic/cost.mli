@@ -22,11 +22,12 @@ val ops : ?weights:weights -> Expr.t -> int
 (** Weighted operation count ([Add]/[Mul] of [n] arguments count [n-1]
     operations; leaves are free). *)
 
-val cheapest : ?weights:weights -> Expr.t list -> Expr.t
-(** The lowest-cost expression of a non-empty list (first wins ties).
-    Raises [Invalid_argument] on an empty list. *)
+val cheapest : Expr.t list -> Expr.t
+(** The lowest-cost expression of a non-empty list under
+    {!default_weights} (first wins ties).  Raises [Invalid_argument] on
+    an empty list. *)
 
-val best_of_expansion :
-  ?weights:weights -> env:Range.env -> Expr.t -> Expr.t
+val best_of_expansion : env:Range.env -> Expr.t -> Expr.t
 (** Simplify both the original and the pre-expanded form and return the
-    cheaper result — the paper's cost-model-guided choice. *)
+    cheaper result under {!default_weights} — the paper's
+    cost-model-guided choice. *)

@@ -59,19 +59,11 @@ let apply_to ?(simplify = true) ?(env = Range.empty_env) g idx =
 let apply ?simplify ?prefix g =
   apply_to ?simplify ~env:(ranges_of ?prefix g) g (index_vars ?prefix g)
 
-let inv ?(simplify = true) ?(var = "p") ?(extra = Range.empty_env) g =
+let inv ?(simplify = true) g =
   let env =
-    List.fold_left
-      (fun env (name, r) -> Range.env_add name r env)
-      (Range.env_add var (Range.of_extent (L.Group_by.numel g)) extra)
-      []
+    Range.env_add "p" (Range.of_extent (L.Group_by.numel g)) Range.empty_env
   in
-  let env =
-    List.fold_left
-      (fun env (name, r) -> Range.env_add name r env)
-      env (Range.env_bindings extra)
-  in
-  let raw = L.Group_by.inv (module Dom) g (Expr.var var) in
+  let raw = L.Group_by.inv (module Dom) g (Expr.var "p") in
   if simplify then List.map (Simplify.simplify ~env) raw else raw
 
 let check_roundtrip g ~samples =

@@ -9,9 +9,13 @@
 
 module Dom : Lego_layout.Domain.S with type t = Expr.t
 
+val var_names : ?prefix:string -> Lego_layout.Group_by.t -> string list
+(** The names [i0, i1, ...] (or [prefix0, ...]) of the layout's index
+    components, one per logical dimension — the free variables of
+    {!apply}'s result. *)
+
 val index_vars : ?prefix:string -> Lego_layout.Group_by.t -> Expr.t list
-(** Fresh symbolic index components [i0, i1, ...] (or [prefix0, ...]) for
-    each logical dimension of the layout. *)
+(** {!var_names} as symbolic variables. *)
 
 val ranges_of :
   ?prefix:string -> Lego_layout.Group_by.t -> Range.env
@@ -36,15 +40,9 @@ val apply_to :
 (** Apply to caller-supplied symbolic components (e.g. a mix of variables
     and constants); the environment defaults to empty. *)
 
-val inv :
-  ?simplify:bool ->
-  ?var:string ->
-  ?extra:Range.env ->
-  Lego_layout.Group_by.t ->
-  Expr.t list
-(** [inv g] is the symbolic logical index of physical offset [var]
-    (default ["p"], ranged over [0 .. numel-1]).  [extra] adds variable
-    ranges for free variables of user pieces. *)
+val inv : ?simplify:bool -> Lego_layout.Group_by.t -> Expr.t list
+(** [inv g] is the symbolic logical index of physical offset ["p"],
+    ranged over [0 .. numel-1]. *)
 
 val check_roundtrip :
   Lego_layout.Group_by.t -> samples:int -> (unit, string) result

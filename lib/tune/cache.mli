@@ -7,12 +7,10 @@
     The identity string is {!Slot.identity} — name, device preset and
     shared-memory dtype — so distinct slots never collide, and neither
     does the same slot tuned under different devices or dtypes (scores
-    and sims depend on both).  Cached sims are valid across
-    fast-path modes (interpreter and compiled runs are bit-identical by
-    contract) and cached static scores across oracle modes (oracle and
-    compiled scoring agree exactly) — the cache can change only
-    wall-clock, never results or the reported counters, which the tuner
-    derives from its own per-search tallies.
+    and sims depend on both).  Cached static scores are valid across
+    oracle modes (oracle and compiled scoring agree exactly) — the cache
+    can change only wall-clock, never results or the reported counters,
+    which the tuner derives from its own per-search tallies.
 
     Concurrency: {!find} is a pure read, safe from inside [Exec.map]
     tasks; everything else mutates and must be called only between

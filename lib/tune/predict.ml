@@ -16,42 +16,6 @@ type score = {
 
 let conflict_free s = s.smem_phases > 0 && s.smem_cycles = s.smem_phases
 
-(* The warp-access arithmetic is {!Lego_gpusim.Access} — the {e same}
-   code the simulator's [cost_shared]/[cost_global] run, so predictor
-   and simulator cannot drift (the conformance suite checks the
-   agreement differentially anyway). *)
-let bank_cycles (device : G.Device.t) ~elem_bytes addrs =
-  G.Access.bank_cycles device ~elem_bytes addrs
-
-let txn_count (device : G.Device.t) ~elem_bytes addrs =
-  G.Access.txn_count device ~elem_bytes addrs
-
-let interpret_score ~device ~apply ~ops phases =
-  let lanes_of f =
-    List.filter_map f (List.init device.G.Device.warp_size Fun.id)
-  in
-  List.fold_left
-    (fun acc phase ->
-      match phase with
-      | Shared { elem_bytes; lanes } ->
-        let addrs = List.map apply (lanes_of lanes) in
-        if addrs = [] then acc
-        else
-          {
-            acc with
-            smem_phases = acc.smem_phases + 1;
-            smem_accesses = acc.smem_accesses + List.length addrs;
-            smem_cycles =
-              acc.smem_cycles + bank_cycles device ~elem_bytes addrs;
-          }
-      | Global { elem_bytes; addrs } ->
-        let addrs = lanes_of addrs in
-        if addrs = [] then acc
-        else
-          { acc with gmem_txns = acc.gmem_txns + txn_count device ~elem_bytes addrs })
-    { smem_phases = 0; smem_accesses = 0; smem_cycles = 0; gmem_txns = 0; ops }
-    phases
-
 (* Phase lanes are a property of the {e slot}, not the candidate: every
    candidate in a space shares the same logical dims, so each shared
    phase's active-lane logical indices flatten to the same int array
@@ -144,7 +108,7 @@ let precompute ~(device : G.Device.t) ~dims phases =
               in
               match closed with
               | Some t -> t
-              | None -> txn_count device ~elem_bytes addrs
+              | None -> G.Access.txn_count device ~elem_bytes addrs
             end
           in
           (shared, txns + t))
@@ -305,20 +269,57 @@ let decomposed_ops (g : L.Group_by.t) =
   | [] -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
   | chain -> List.fold_left (fun acc o -> acc + stage_ops o) 0 chain
 
-let score ?(device = G.Device.a100) ?(compiled = true) ?(oracle = false)
-    ?(memoize = true) ?ops ?weights (g : L.Group_by.t) phases =
+let score ~device ?(oracle = false) ?(memoize = true) ?ops (g : L.Group_by.t)
+    phases =
   let ops =
     match ops with
     | Some n -> n
-    | None -> Lego_symbolic.Cost.ops ?weights (Lego_symbolic.Sym.apply g)
+    | None -> Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g)
   in
   match if oracle then linear_of ~memoize g else None with
   | Some lin -> oracle_score ~device lin ~ops ~dims:(L.Group_by.dims g) phases
   | None ->
-    if compiled then
-      let c = if memoize then Compiled.of_layout g else Compiled.compile g in
-      compiled_score ~device c ~ops phases
-    else interpret_score ~device ~apply:(L.Group_by.apply_ints g) ~ops phases
+    let c = if memoize then Compiled.of_layout g else Compiled.compile g in
+    compiled_score ~device c ~ops phases
+
+(* The reference oracle for {!score}: every active lane's address
+   through the structural interpreter ([Group_by.apply_ints]), counted
+   with the simulator's own {!Lego_gpusim.Access} arithmetic, with no
+   precomputation, closed form or memo table in between.  The tuner
+   never calls it. *)
+let reference_score ~(device : G.Device.t) (g : L.Group_by.t) phases =
+  let lanes_of f = List.filter_map f (List.init device.warp_size Fun.id) in
+  List.fold_left
+    (fun acc phase ->
+      match phase with
+      | Shared { elem_bytes; lanes } ->
+        let addrs = List.map (L.Group_by.apply_ints g) (lanes_of lanes) in
+        if addrs = [] then acc
+        else
+          {
+            acc with
+            smem_phases = acc.smem_phases + 1;
+            smem_accesses = acc.smem_accesses + List.length addrs;
+            smem_cycles =
+              acc.smem_cycles + G.Access.bank_cycles device ~elem_bytes addrs;
+          }
+      | Global { elem_bytes; addrs } ->
+        let addrs = lanes_of addrs in
+        if addrs = [] then acc
+        else
+          {
+            acc with
+            gmem_txns =
+              acc.gmem_txns + G.Access.txn_count device ~elem_bytes addrs;
+          })
+    {
+      smem_phases = 0;
+      smem_accesses = 0;
+      smem_cycles = 0;
+      gmem_txns = 0;
+      ops = Lego_symbolic.Cost.ops (Lego_symbolic.Sym.apply g);
+    }
+    phases
 
 (* Total order used for pruning and beam survival: fewest conflict cycles
    first, then fewest global transactions, then cheapest index

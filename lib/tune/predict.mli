@@ -33,14 +33,6 @@ type score = {
 val conflict_free : score -> bool
 (** Every sampled shared phase ran at degree 1. *)
 
-val bank_cycles : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
-(** {!Lego_gpusim.Access.bank_cycles} — re-exported so callers (and the
-    Predict-vs-Simt differential tests) see one name for the arithmetic
-    both stages share. *)
-
-val txn_count : Lego_gpusim.Device.t -> elem_bytes:int -> int list -> int
-(** {!Lego_gpusim.Access.txn_count}, likewise. *)
-
 val linear_of :
   ?memoize:bool -> Lego_layout.Group_by.t -> Lego_f2.Linear.t option
 (** The candidate's affine F₂ form ({!Lego_f2.Linear.of_layout}),
@@ -50,15 +42,11 @@ val linear_of :
     scale the per-candidate memo would grow without bound while almost
     never hitting (the stream visits each fingerprint once). *)
 
-val stage_ops : Lego_layout.Order_by.t -> int
-(** Symbolic op count of one chain stage in isolation (default
-    {!Lego_symbolic.Cost.weights}), memoized per domain by the stage's
-    printed form.  The building block of {!decomposed_ops}. *)
-
 val decomposed_ops : Lego_layout.Group_by.t -> int
-(** Per-dimension decomposition of the op count: the sum of
-    {!stage_ops} over the candidate's chain (the exact whole-layout
-    count when the chain is empty).  Candidates sharing a tile prefix —
+(** Per-dimension decomposition of the op count: the sum, over the
+    candidate's chain, of each stage's op count in isolation (memoized
+    per domain by the stage's printed form); the exact whole-layout
+    count when the chain is empty.  Candidates sharing a tile prefix —
     every member of a swizzle grid over one base tiling, every tiling
     sharing pieces — reuse each stage's cost from the table, so at
     mega-space scale the dominant symbolic evaluation happens once per
@@ -69,28 +57,26 @@ val decomposed_ops : Lego_layout.Group_by.t -> int
     elsewhere. *)
 
 val score :
-  ?device:Lego_gpusim.Device.t ->
-  ?compiled:bool ->
+  device:Lego_gpusim.Device.t ->
   ?oracle:bool ->
   ?memoize:bool ->
   ?ops:int ->
-  ?weights:Lego_symbolic.Cost.weights ->
   Lego_layout.Group_by.t ->
   phase list ->
   score
-(** [compiled] (default true) evaluates the candidate's addresses
-    through {!Compiled.of_layout}; [~compiled:false] keeps the
-    interpreter ([Group_by.apply_ints]) — same score either way, kept
-    for before/after benchmarking of the fast path.
+(** The static score of a candidate on [device]'s warp, bank and
+    transaction geometry.  Addresses are evaluated through the
+    candidate's {!Compiled} closure, once per distinct logical index of
+    the phase list.
 
     [oracle] (default false) scores F₂-linear candidates in closed form
     ({!Lego_f2.Oracle}): every full-warp affine phase costs two rank
     computations instead of 32 address evaluations plus a conflict
     count, and non-linear candidates (or phases outside the affine
-    precondition) silently take the [compiled]-selected path.  Scores
-    are bit-identical across all three paths — the oracle is exact, not
-    an approximation (asserted against measured simulator counters by
-    the test suite).
+    precondition) silently take the compiled path.  The scores are
+    bit-identical either way — the oracle is exact, not an
+    approximation (asserted against {!reference_score} and against
+    measured simulator counters by the test suite).
 
     [memoize] (default true) controls the domain-local per-candidate
     tables ({!linear_of}, [Compiled.of_layout]); [~memoize:false]
@@ -99,6 +85,17 @@ val score :
     given, replaces the symbolic op count (use {!decomposed_ops} for
     the shared-prefix fast path); the bank/transaction arithmetic is
     unaffected. *)
+
+val reference_score :
+  device:Lego_gpusim.Device.t -> Lego_layout.Group_by.t -> phase list -> score
+(** The reference oracle {!score} is checked against: every active lane
+    evaluated through the structural interpreter
+    ([Group_by.apply_ints]) and counted with
+    {!Lego_gpusim.Access.bank_cycles} / [txn_count], with the exact
+    symbolic op count.  [score ~device g phases] (with or without
+    [~oracle]) equals [reference_score ~device g phases] for every
+    candidate.  Slow by design; the tuner never calls it — tests and the
+    bench's before/after timings do. *)
 
 val compare_ranked : score * string -> score * string -> int
 (** Lexicographic [(smem_cycles, gmem_txns, ops, fingerprint)] — a total

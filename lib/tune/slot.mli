@@ -6,11 +6,14 @@
     representative warp access phases (for the {!Predict} pre-filter),
     and a full simulation returning the roofline time (the stage-two
     ground truth).  Each slot's kernel is a single
-    {!Lego_gpusim.Fastpath.program} — [simulate ~fast:true] runs it on
+    {!Lego_gpusim.Fastpath.program}.  [simulate ~fast:true] runs it on
     the warp-vectorized fast path (compiled layout closures, per-warp
-    summary cache), [simulate ~fast:false] interprets the {e same}
-    program through the {!Lego_gpusim.Simt} effect handler; the two
-    produce bit-identical counters, only the wall-clock differs.  The
+    summary cache); it is the only path the tuner uses.
+    [simulate ~fast:false] is the reference: it interprets the {e same}
+    program through the {!Lego_gpusim.Simt} effect handler, with
+    addresses from the structural interpreter, and produces
+    bit-identical counters at a fraction of the speed.  Tests and the
+    bench's before/after timings call it.  The
     three slots below are the paper's three hand-tuned layout decisions
     (figures 13-14). *)
 
@@ -36,8 +39,9 @@ type t = {
       (** Representative warp phases for the static pre-filter. *)
   simulate : fast:bool -> Lego_layout.Group_by.t -> sim;
       (** Full simulation of the kernel with the candidate layout;
-          [fast] selects the warp-vectorized path or the effect-handler
-          reference (bit-identical counters). *)
+          [~fast:true] is the warp-vectorized production path,
+          [~fast:false] the effect-handler reference (bit-identical
+          counters). *)
   simulate_sampled : (fast:bool -> Lego_layout.Group_by.t -> sim) option;
       (** Cheap sampled simulation for the funnel's middle rung: the
           same kernel on a grid / launch subset chosen so the shared

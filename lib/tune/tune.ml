@@ -9,7 +9,6 @@ type options = {
   jobs : int;
   conform : bool;
   conform_points : int;
-  fastpath : bool;
   oracle : bool;
   composed : bool;
   scale : bool;
@@ -24,7 +23,6 @@ let default_options =
     jobs = 1;
     conform = true;
     conform_points = 2048;
-    fastpath = true;
     oracle = false;
     composed = false;
     scale = false;
@@ -186,8 +184,8 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
       let ops = if options.scale then Some (Predict.decomposed_ops g) else None
       in
       let s =
-        Predict.score ~compiled:options.fastpath ~oracle:options.oracle
-          ~memoize ?ops g slot.phases
+        Predict.score ~device:slot.device ~oracle:options.oracle ~memoize ?ops
+          g slot.phases
       in
       let lin = options.oracle && Predict.linear_of ~memoize g <> None in
       (fp, dg, s, lin, false)
@@ -241,7 +239,7 @@ let search ?(options = default_options) ?cache (slot : Slot.t) =
         (fun (sc, dg) ->
           match Cache.find cache ~slot:cache_slot ~fp_digest:dg with
           | Some e when get e <> None -> (Option.get (get e), true)
-          | _ -> (simulate ~fast:options.fastpath sc.layout, false))
+          | _ -> (simulate ~fast:true sc.layout, false))
     in
     let hits = ref 0 in
     Array.iteri

@@ -5,8 +5,9 @@
     {!Slot}:
 
     + {b static pass} — the stream (pre-deduplicated, never
-      materialized) flows through the cheap {!Predict} pre-filter in
-      chunks scored in parallel, under a candidate budget; only a
+      materialized) flows through the cheap {!Predict.score} pre-filter
+      (compiled closures, on the slot's own device geometry) in chunks
+      scored in parallel, under a candidate budget; only a
       bounded top-K heap of the best survivors plus counters are
       retained, so ranking memory is O(K) at 10⁵–10⁶ candidates;
     + {b sampled rung} (successive halving; active when the slot has a
@@ -14,9 +15,14 @@
       survivor runs the cheap sampled simulation, the best [top]
       promote;
     + {b full rung} — the promoted finalists run the slot's full
-      {!Lego_gpusim.Simt} simulation and are ranked by roofline time;
+      simulation and are ranked by roofline time;
     + the winner is cross-checked through the {!Lego_conform.Conform}
       four-semantics differential harness before being reported.
+
+    Both sim rungs run the warp-vectorized {!Lego_gpusim.Fastpath}
+    ([simulate ~fast:true]).  The slower paths that give the same
+    results — {!Predict.reference_score} and [simulate ~fast:false] —
+    are reference oracles for the tests and the bench, not options.
 
     Results are bit-identical at any [jobs]: parallelism only ever runs
     inside {!Lego_exec.Exec.map} (submission-order merge), all search
@@ -37,13 +43,6 @@ type options = {
   jobs : int;  (** {!Lego_exec.Exec} pool size (default 1). *)
   conform : bool;  (** Four-semantics check of the winner (default on). *)
   conform_points : int;  (** Points for that check (default 2048). *)
-  fastpath : bool;
-      (** Use compiled layout closures in the static pass and the
-          warp-vectorized {!Lego_gpusim.Fastpath} in the sim rungs
-          (default on).  [false] keeps the interpreter + effect-handler
-          reference path — same scores, same counters, same ranking;
-          only the wall-clock (and so [candidates_per_s]) differs.
-          Kept for before/after benchmarking. *)
   oracle : bool;
       (** F₂ mode (default off): the static pass scores affine-linear
           candidates in closed form ({!Predict.score}'s [~oracle], exact

@@ -487,8 +487,24 @@ let test_server_batch_semantics () =
       (Sv.Json.mem_string "c" (nth 1) <> None);
     Alcotest.(check bool) "emit filter drops mlir" true
       (Sv.Json.mem_string "mlir" (nth 1) = None);
-    Alcotest.(check bool) "full emit keeps mlir" true
-      (Sv.Json.mem_string "mlir" (nth 0) <> None);
+    (* The full-emit strings are the printers' output for the layout,
+       byte for byte. *)
+    let g =
+      Result.get_ok
+        (Lego_lang.Elab.layout_of_string
+           "TileOrderBy(Col(8, 6)).TileBy([4,2],[2,3])")
+    in
+    let offset = Lego_symbolic.Sym.apply g in
+    List.iter
+      (fun (field, expect) ->
+        Alcotest.(check (option string))
+          ("full emit " ^ field) (Some expect)
+          (Sv.Json.mem_string field (nth 0)))
+      [
+        ("c", Lego_codegen.C_printer.expr offset);
+        ("triton", Lego_codegen.Triton_printer.expr offset);
+        ("mlir", Lego_codegen.Mlir_gen.layout_apply_func ~name:"apply" g);
+      ];
     Alcotest.(check (option bool)) "fingerprint op succeeds" (Some true)
       (Sv.Json.mem_bool "ok" (nth 3));
     Alcotest.(check (option int)) "stats sees the fingerprint" (Some 1)

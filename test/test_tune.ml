@@ -247,13 +247,16 @@ let prepend_swizzle ~mask ~shift g ~rows ~cols =
     (L.Order_by.make [ L.Gallery.xor_swizzle_masked ~rows ~cols ~mask ~shift ])
     g
 
+let slot_score ?oracle (slot : T.Slot.t) g =
+  T.Predict.score ~device:slot.T.Slot.device ?oracle g slot.T.Slot.phases
+
 let test_predictor_agrees_with_simulator () =
   let slot = T.Slot.matmul_smem () in
   let rows = slot.T.Slot.rows and cols = slot.T.Slot.cols in
   let rm = T.Slot.row_major ~rows ~cols in
   let sw = prepend_swizzle ~mask:(cols - 1) ~shift:0 rm ~rows ~cols in
   let check name g expect_cf =
-    let sc = T.Predict.score g slot.T.Slot.phases in
+    let sc = slot_score slot g in
     Alcotest.(check bool)
       (name ^ ": predictor verdict") expect_cf
       (T.Predict.conflict_free sc);
@@ -299,7 +302,7 @@ let test_compiled_matches_interpreter () =
 
 (* --- Predictor arithmetic vs simulator counters ---------------------------- *)
 
-(* [Predict.bank_cycles] / [Predict.txn_count] must agree {e exactly}
+(* [Access.bank_cycles] / [Access.txn_count] must agree {e exactly}
    with what one [Simt.cost_shared] / [cost_global] warp round adds to
    the counters, for warp access patterns drawn from real layouts — the
    soundness condition that lets stage one prune for stage two. *)
@@ -322,7 +325,7 @@ let test_predict_arithmetic_matches_simt_costs () =
           G.Simt.cost_shared device ~elem_bytes:4 cnt addrs;
           Alcotest.(check int)
             (Printf.sprintf "%s stride %d: bank cycles" name stride)
-            (T.Predict.bank_cycles device ~elem_bytes:4 addrs)
+            (G.Access.bank_cycles device ~elem_bytes:4 addrs)
             (int_of_float cnt.G.Simt.s_cycles);
           Alcotest.(check int)
             (Printf.sprintf "%s stride %d: accesses" name stride)
@@ -335,7 +338,7 @@ let test_predict_arithmetic_matches_simt_costs () =
             (List.map (fun a -> (buf, a mod 4096)) addrs);
           Alcotest.(check int)
             (Printf.sprintf "%s stride %d: txns" name stride)
-            (T.Predict.txn_count device ~elem_bytes:4
+            (G.Access.txn_count device ~elem_bytes:4
                (List.map (fun a -> a mod 4096) addrs))
             (int_of_float cnt.G.Simt.g_txns))
         [ 1; 2; 17; 32 ])
@@ -362,19 +365,29 @@ let test_slot_fast_matches_slow () =
                 ~chain:[ L.Order_by.make [ L.Gallery.antidiag rows ] ]
                 [ [ rows; cols ] ] ) ]
       in
+      let sims =
+        ("full", slot.T.Slot.simulate)
+        :: Option.to_list
+             (Option.map (fun s -> ("sampled", s)) slot.T.Slot.simulate_sampled)
+      in
       List.iter
         (fun (lname, g) ->
-          let fast = slot.T.Slot.simulate ~fast:true g in
-          let slow = slot.T.Slot.simulate ~fast:false g in
-          let msg field =
-            Printf.sprintf "%s/%s: %s" slot.T.Slot.name lname field
-          in
-          Alcotest.(check (float 0.0)) (msg "time_s") slow.T.Slot.time_s
-            fast.T.Slot.time_s;
-          Alcotest.(check (float 0.0)) (msg "s_accesses")
-            slow.T.Slot.s_accesses fast.T.Slot.s_accesses;
-          Alcotest.(check (float 0.0)) (msg "s_cycles") slow.T.Slot.s_cycles
-            fast.T.Slot.s_cycles)
+          List.iter
+            (fun (rung, simulate) ->
+              let fast = simulate ~fast:true g in
+              let slow = simulate ~fast:false g in
+              let msg field =
+                Printf.sprintf "%s/%s %s: %s" slot.T.Slot.name lname rung field
+              in
+              Alcotest.(check (float 0.0)) (msg "time_s") slow.T.Slot.time_s
+                fast.T.Slot.time_s;
+              Alcotest.(check (float 0.0)) (msg "s_accesses")
+                slow.T.Slot.s_accesses fast.T.Slot.s_accesses;
+              Alcotest.(check (float 0.0)) (msg "s_cycles")
+                slow.T.Slot.s_cycles fast.T.Slot.s_cycles;
+              Alcotest.(check (float 0.0)) (msg "g_txns") slow.T.Slot.g_txns
+                fast.T.Slot.g_txns)
+            sims)
         layouts)
     (T.Slot.all ())
 
@@ -685,8 +698,8 @@ let test_oracle_score_matches_compiled_full_family () =
       let _, fam = family_layouts slot in
       List.iter
         (fun ((mask, shift), g) ->
-          let compiled = T.Predict.score g slot.T.Slot.phases in
-          let oracle = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+          let compiled = slot_score slot g in
+          let oracle = slot_score ~oracle:true slot g in
           if compiled <> oracle then
             Alcotest.failf "%s m%d_s%d: compiled %s <> oracle %s"
               slot.T.Slot.name mask shift
@@ -714,7 +727,7 @@ let test_oracle_matches_measured_counters () =
       let k = ref 0 in
       List.iter
         (fun ((mask, shift), g) ->
-          let sc = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+          let sc = slot_score ~oracle:true slot g in
           let sim = slot.T.Slot.simulate ~fast:true g in
           let name = Printf.sprintf "%s m%d_s%d" slot.T.Slot.name mask shift in
           let acc = int_of_float sim.T.Slot.s_accesses in
@@ -735,7 +748,7 @@ let test_oracle_matches_measured_counters () =
       List.iter
         (fun ((mask, shift), g) ->
           if (mask, shift) = (0, 0) || (mask = 7 && shift = 2) then begin
-            let sc = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+            let sc = slot_score ~oracle:true slot g in
             let sim = slot.T.Slot.simulate ~fast:false g in
             Alcotest.(check int)
               (Printf.sprintf "%s m%d_s%d: Simt cycles" slot.T.Slot.name mask
@@ -776,7 +789,7 @@ let test_swizzle_classes_partition_and_cost_constancy () =
         let tbl = Hashtbl.create 256 in
         List.iter
           (fun (ms, g) ->
-            let s = T.Predict.score ~oracle:true g slot.T.Slot.phases in
+            let s = slot_score ~oracle:true slot g in
             Hashtbl.add tbl ms (s.T.Predict.smem_cycles, s.T.Predict.gmem_txns))
           fam;
         Hashtbl.find tbl
@@ -821,9 +834,62 @@ let test_oracle_search_reduction () =
   List.iter
     (fun (sc : T.Tune.scored) ->
       Alcotest.(check bool) "winner scores agree across paths" true
-        (T.Predict.score sc.T.Tune.layout slot.T.Slot.phases
-        = T.Predict.score ~oracle:true sc.T.Tune.layout slot.T.Slot.phases))
+        (slot_score slot sc.T.Tune.layout
+        = slot_score ~oracle:true slot sc.T.Tune.layout))
     [ pr6.T.Tune.winner; f2.T.Tune.winner ]
+
+(* --- Reference scorer ---------------------------------------------------- *)
+
+(* The production scorer (compiled closures, and the F₂ closed form
+   under [~oracle:true]) against the interpreter-based reference, over
+   the prefix a default 256-budget search scores. *)
+let test_score_matches_reference () =
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      let sp =
+        T.Space.make ~elem_bytes:(slot_elem_bytes slot) ~rows:slot.T.Slot.rows
+          ~cols:slot.T.Slot.cols ()
+      in
+      Seq.iter
+        (fun g ->
+          let expect =
+            T.Predict.reference_score ~device:slot.T.Slot.device g
+              slot.T.Slot.phases
+          in
+          List.iter
+            (fun oracle ->
+              let got = slot_score ~oracle slot g in
+              if got <> expect then
+                Alcotest.failf "%s %s (oracle %b): score %s <> reference %s"
+                  slot.T.Slot.name (T.Fingerprint.of_layout g) oracle
+                  (Format.asprintf "%a" T.Predict.pp got)
+                  (Format.asprintf "%a" T.Predict.pp expect))
+            [ false; true ])
+        (Seq.take 256 (T.Space.stream sp)))
+    (T.Slot.all ())
+
+(* The static pass scores on the slot's own device: on a 16-bank copy of
+   the A100 every ranked candidate's [static_score] is the score for
+   that device, not for the default preset's 32 banks. *)
+let test_search_scores_on_slot_device () =
+  let device = { Lego_gpusim.Device.a100 with smem_banks = 16 } in
+  List.iter
+    (fun (slot : T.Slot.t) ->
+      let r =
+        T.Tune.search
+          ~options:{ T.Tune.default_options with budget = 400; conform = false }
+          slot
+      in
+      List.iter
+        (fun (sc : T.Tune.scored) ->
+          if sc.T.Tune.static_score <> slot_score slot sc.T.Tune.layout then
+            Alcotest.failf "%s %s: searched %s <> scored on the slot device %s"
+              slot.T.Slot.name sc.T.Tune.fingerprint
+              (Format.asprintf "%a" T.Predict.pp sc.T.Tune.static_score)
+              (Format.asprintf "%a" T.Predict.pp
+                 (slot_score slot sc.T.Tune.layout)))
+        r.T.Tune.ranking)
+    [ T.Slot.matmul_smem ~device (); T.Slot.transpose_smem ~device () ]
 
 (* --- legoc CLI overview ---------------------------------------------------- *)
 
@@ -921,6 +987,10 @@ let suite =
         test_search_rejects_bad_options;
       Alcotest.test_case "CLI overview lists subcommands" `Quick
         test_cli_overview_lists_subcommands;
+      Alcotest.test_case "score = reference score (default prefixes)" `Quick
+        test_score_matches_reference;
+      Alcotest.test_case "static pass scores on the slot's device" `Quick
+        test_search_scores_on_slot_device;
       Alcotest.test_case "scale stream golden digests" `Slow
         test_scale_stream_golden;
     ] )
